@@ -48,8 +48,9 @@ func versionHalf(w uint64, left bool) uint16 {
 
 // tryLockEdge acquires the left or right half iff its version is still v.
 // The CAS retries only when the *other* half moved underneath (that does not
-// invalidate this half's version).
-func (l *dualLock) tryLockEdge(left bool, v uint16) bool {
+// invalidate this half's version). A false return comes from the read-only
+// check, so only the retried CASes are counted as failed.
+func (l *dualLock) tryLockEdge(c *perf.Ctx, left bool, v uint16) bool {
 	for {
 		w := l.w.Load()
 		if lockedHalf(w, left) || versionHalf(w, left) != v {
@@ -64,6 +65,7 @@ func (l *dualLock) tryLockEdge(left bool, v uint16) bool {
 		if l.w.CompareAndSwap(w, nw) {
 			return true
 		}
+		c.Inc(perf.EvCASFail)
 	}
 }
 
@@ -188,8 +190,7 @@ func (t *TK) InsertCtx(c *perf.Ctx, k core.Key, v core.Value) bool {
 			router.left.Store(leaf)
 			router.right.Store(nl)
 		}
-		if !p.lock.tryLockEdge(pLeft, vP) {
-			c.Inc(perf.EvCASFail)
+		if !p.lock.tryLockEdge(c, pLeft, vP) {
 			c.Inc(perf.EvRestart)
 			continue
 		}
@@ -228,8 +229,7 @@ func (t *TK) RemoveCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
 			c.Inc(perf.EvRestart)
 			continue
 		}
-		if !gp.lock.tryLockEdge(gpLeft, vGP) {
-			c.Inc(perf.EvCASFail)
+		if !gp.lock.tryLockEdge(c, gpLeft, vGP) {
 			c.Inc(perf.EvRestart)
 			continue
 		}

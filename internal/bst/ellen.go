@@ -211,15 +211,19 @@ func (t *Ellen) InsertCtx(c *perf.Ctx, k core.Key, v core.Value) bool {
 			c.Inc(perf.EvRestart)
 			continue
 		}
+		// The displaced leaf is copied, never moved: l must leave p's child
+		// slot for good, or a stale helper's ichild CAS could find it back
+		// there (after a delete splices it up) and re-link ni.
 		nl := newELeaf(k, v)
+		sib := newELeaf(l.key, l.val)
 		var ni *eNode
 		if k < l.key {
 			ni = newEInternal(l.key)
 			ni.left.Store(nl)
-			ni.right.Store(l)
+			ni.right.Store(sib)
 		} else {
 			ni = newEInternal(k)
-			ni.left.Store(l)
+			ni.left.Store(sib)
 			ni.right.Store(nl)
 		}
 		op := &eIInfo{p: p, newInternal: ni, l: l}

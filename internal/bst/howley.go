@@ -56,29 +56,49 @@ type hwChildCASOp struct {
 	expected, update *hwNode
 }
 
+// hwRelocateOp carries the op words every helper installs, so that all of
+// them CAS against the same records (the C original's FLAG(op, RELOCATE)
+// and FLAG(op, NONE)): claim goes on the successor and then on dest, done
+// releases dest.
 type hwRelocateOp struct {
-	state                 atomic.Int32 // relocOngoing/Successful/Failed
-	dest                  *hwNode
-	destOp                *hwOp
-	removeKey, replaceKey uint64
-	replaceValue          uint64
+	state       atomic.Int32 // relocOngoing/Successful/Failed
+	dest        *hwNode
+	destOp      *hwOp
+	destKV      *hwKV // dest's pair while destOp was current
+	replaceKV   *hwKV // the successor's pair, copied into dest
+	claim, done *hwOp
+}
+
+// hwKV is an immutable key/value pair. Relocation swaps dest's pair with
+// one CAS, so readers never see a key with another key's value, and a late
+// helper's copy fails instead of overwriting a newer pair.
+type hwKV struct {
+	key   core.Key
+	value core.Value
 }
 
 type hwNode struct {
-	key   atomic.Uint64 // mutable: relocation overwrites it
-	value atomic.Uint64
+	kv    atomic.Pointer[hwKV] // mutable: relocation swaps it
 	left  atomic.Pointer[hwNode]
 	right atomic.Pointer[hwNode]
 	op    atomic.Pointer[hwOp]
+	kv0   hwKV // the initial pair, inline to save an allocation
+	null  bool // a null marker, not a node (see hwIsNull)
 }
 
 func newHWNode(k core.Key, v core.Value) *hwNode {
-	n := &hwNode{}
-	n.key.Store(uint64(k))
-	n.value.Store(uint64(v))
+	n := &hwNode{kv0: hwKV{key: k, value: v}}
+	n.kv.Store(&n.kv0)
 	n.op.Store(hwNoneOp)
 	return n
 }
+
+// hwIsNull reports whether a child slot is empty. A slot starts as nil, and
+// every splice that empties one stores a fresh null marker instead (the C
+// original tags the null with the excised node's address). Empty slots are
+// thus never equal across time, so a late helper's ChildCAS that expected
+// an earlier empty slot cannot re-link a node that has since been removed.
+func hwIsNull(n *hwNode) bool { return n == nil || n.null }
 
 // Howley is the howley tree of Table 1.
 type Howley struct {
@@ -123,7 +143,7 @@ retry:
 		var lastRight *hwNode = curr
 		var lastRightOp *hwOp = currOp
 		next := curr.right.Load()
-		for next != nil {
+		for !hwIsNull(next) {
 			pred, predOp = curr, currOp
 			curr = next
 			currOp = curr.op.Load()
@@ -133,21 +153,27 @@ retry:
 				continue retry
 			}
 			c.Inc(perf.EvTraverse)
-			ckey := core.Key(curr.key.Load())
-			switch {
-			case k < ckey:
+			ckey := curr.kv.Load().key
+			if k < ckey {
 				result = hwNotFoundL
 				next = curr.left.Load()
-			case k > ckey:
+			} else if k > ckey {
 				result = hwNotFoundR
 				next = curr.right.Load()
 				lastRight, lastRightOp = curr, currOp
-			default:
-				return pred, predOp, curr, currOp, hwFound
+			} else {
+				result = hwFound
+				break
 			}
 		}
-		if lastRightOp != lastRight.op.Load() {
+		if result != hwFound && lastRightOp != lastRight.op.Load() {
 			// A deletion may have moved things behind our back.
+			c.Inc(perf.EvRestart)
+			continue retry
+		}
+		if curr.op.Load() != currOp {
+			// curr's key or children were read under an op word
+			// that has since changed.
 			c.Inc(perf.EvRestart)
 			continue retry
 		}
@@ -187,8 +213,11 @@ func (t *Howley) helpChildCAS(c *perf.Ctx, op *hwOp, dest *hwNode) {
 // ChildCAS on pred.
 func (t *Howley) helpMarked(c *perf.Ctx, pred *hwNode, predOp *hwOp, curr *hwNode) {
 	newRef := curr.left.Load()
-	if newRef == nil {
+	if hwIsNull(newRef) {
 		newRef = curr.right.Load()
+		if hwIsNull(newRef) {
+			newRef = &hwNode{null: true}
+		}
 	}
 	isLeft := curr == pred.left.Load()
 	casOp := &hwOp{state: hwChildCAS, child: &hwChildCASOp{isLeft: isLeft, expected: curr, update: newRef}}
@@ -206,15 +235,17 @@ func (t *Howley) helpMarked(c *perf.Ctx, pred *hwNode, predOp *hwOp, curr *hwNod
 func (t *Howley) helpRelocate(c *perf.Ctx, op *hwRelocateOp, pred *hwNode, predOp *hwOp, curr *hwNode) bool {
 	seen := op.state.Load()
 	if seen == relocOngoing {
-		claimOp := &hwOp{state: hwRelocate, reloc: op}
-		claimed := op.dest.op.CompareAndSwap(op.destOp, claimOp)
+		claimed := op.dest.op.CompareAndSwap(op.destOp, op.claim)
 		if claimed {
 			c.Inc(perf.EvCAS)
 		} else {
 			c.Inc(perf.EvCASFail)
 		}
-		w := op.dest.op.Load()
-		if claimed || (w.state == hwRelocate && w.reloc == op) {
+		// dest is released from claim only after the state is
+		// Successful, so a failed CAS that does not find the claim
+		// either lost to another helper's completed relocation (the
+		// state CAS below then fails) or found destOp gone for good.
+		if claimed || op.dest.op.Load() == op.claim {
 			op.state.CompareAndSwap(relocOngoing, relocSuccessful)
 			seen = relocSuccessful
 		} else {
@@ -222,46 +253,49 @@ func (t *Howley) helpRelocate(c *perf.Ctx, op *hwRelocateOp, pred *hwNode, predO
 			seen = op.state.Load()
 		}
 	}
-	if seen == relocSuccessful {
-		// Copy the pair into dest (idempotent: all helpers write the
-		// same values) and release dest's op word.
-		op.dest.key.Store(op.replaceKey)
-		op.dest.value.Store(op.replaceValue)
-		c.Inc(perf.EvStore)
-		if w := op.dest.op.Load(); w.state == hwRelocate && w.reloc == op {
-			if op.dest.op.CompareAndSwap(w, newHWNoneOp()) {
-				c.Inc(perf.EvCAS)
-			}
+	ok := seen == relocSuccessful
+	if ok {
+		// Copy the pair into dest and release dest's op word. Both
+		// CASes fail for every helper but the first.
+		if op.dest.kv.CompareAndSwap(op.destKV, op.replaceKV) {
+			c.Inc(perf.EvCAS)
 		}
+		if op.dest.op.CompareAndSwap(op.claim, op.done) {
+			c.Inc(perf.EvCAS)
+		}
+	}
+	if curr == op.dest {
+		return ok
 	}
 	// Resolve the successor node (curr): marked for excision on success,
 	// restored on failure.
-	if w := curr.op.Load(); w.state == hwRelocate && w.reloc == op {
-		target := newHWNoneOp()
-		if seen == relocSuccessful {
-			target = &hwOp{state: hwMark}
-		}
-		if curr.op.CompareAndSwap(w, target) {
-			c.Inc(perf.EvCAS)
-			if seen == relocSuccessful {
-				// predOp may be stale by now (when pred == dest,
-				// the claim above replaced its op word); splice
-				// against pred's current op so the excision does
-				// not silently fail and leave the marked node to
-				// a later traversal.
-				t.helpMarked(c, pred, pred.op.Load(), curr)
-			}
-		}
+	target := newHWNoneOp()
+	if ok {
+		target = &hwOp{state: hwMark}
 	}
-	return seen == relocSuccessful
+	if curr.op.CompareAndSwap(op.claim, target) {
+		c.Inc(perf.EvCAS)
+	}
+	if ok {
+		// When pred is dest, its op word is now done (or later):
+		// splice against done, and let a later traversal finish the
+		// excision if pred has moved on.
+		if pred == op.dest {
+			predOp = op.done
+		}
+		t.helpMarked(c, pred, predOp, curr)
+	}
+	return ok
 }
 
 // SearchCtx implements core.Instrumented. Note: find helps pending
 // operations and restarts — howley's searches are not ASCY1, by design.
 func (t *Howley) SearchCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
 	_, _, curr, _, res := t.find(c, k, t.root)
-	if res == hwFound {
-		return core.Value(curr.value.Load()), true
+	// A relocation may have swapped curr's pair since find matched k; k
+	// was then removed within this call, so a miss is a valid answer.
+	if kv := curr.kv.Load(); res == hwFound && kv.key == k {
+		return kv.value, true
 	}
 	return 0, false
 }
@@ -303,13 +337,15 @@ func (t *Howley) RemoveCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
 		if res != hwFound {
 			return 0, false
 		}
-		val := core.Value(curr.value.Load())
-		if curr.right.Load() == nil || curr.left.Load() == nil {
+		// curr's pair cannot change while currOp stays installed,
+		// and both paths below CAS against currOp.
+		kv := curr.kv.Load()
+		if hwIsNull(curr.right.Load()) || hwIsNull(curr.left.Load()) {
 			// At most one child: mark, then splice out.
 			if curr.op.CompareAndSwap(currOp, &hwOp{state: hwMark}) {
 				c.Inc(perf.EvCAS)
 				t.helpMarked(c, pred, predOp, curr)
-				return val, true
+				return kv.value, true
 			}
 			c.Inc(perf.EvCASFail)
 			c.Inc(perf.EvRestart)
@@ -337,16 +373,17 @@ func (t *Howley) RemoveCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
 			continue
 		}
 		reloc := &hwRelocateOp{
-			dest:         curr,
-			destOp:       currOp,
-			removeKey:    uint64(k),
-			replaceKey:   succ.key.Load(),
-			replaceValue: succ.value.Load(),
+			dest:      curr,
+			destOp:    currOp,
+			destKV:    kv,
+			replaceKV: succ.kv.Load(),
+			done:      newHWNoneOp(),
 		}
-		if succ.op.CompareAndSwap(succOp, &hwOp{state: hwRelocate, reloc: reloc}) {
+		reloc.claim = &hwOp{state: hwRelocate, reloc: reloc}
+		if succ.op.CompareAndSwap(succOp, reloc.claim) {
 			c.Inc(perf.EvCAS)
 			if t.helpRelocate(c, reloc, pred2, predOp2, succ) {
-				return val, true
+				return kv.value, true
 			}
 		} else {
 			c.Inc(perf.EvCASFail)
@@ -373,7 +410,7 @@ func (t *Howley) Size() int {
 	for len(stack) > 0 {
 		nd := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if nd == nil {
+		if hwIsNull(nd) {
 			continue
 		}
 		if nd.op.Load().state != hwMark {

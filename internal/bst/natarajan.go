@@ -171,6 +171,14 @@ func (t *Natarajan) InsertCtx(c *perf.Ctx, k core.Key, v core.Value) bool {
 		parent := rec.parent
 		childAddr := parent.edge(k < parent.key)
 		leaf := rec.leaf
+		if rec.leafEdge.flag || rec.leafEdge.tag {
+			// The edge belongs to a pending deletion and is frozen:
+			// replacing it would silently undo that deletion's flag.
+			c.Inc(perf.EvHelp)
+			t.cleanup(c, k, rec)
+			c.Inc(perf.EvRestart)
+			continue
+		}
 		nl := newNMLeaf(k, v)
 		router := &nmNode{internal: true}
 		if k < leaf.key {
@@ -215,7 +223,9 @@ func (t *Natarajan) RemoveCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
 			val = leaf.val
 			parent := rec.parent
 			childAddr := parent.edge(k < parent.key)
-			if rec.leafEdge.flag || rec.leafEdge.tag || rec.leafEdge.n != leaf {
+			if rec.leafEdge.flag || rec.leafEdge.tag {
+				c.Inc(perf.EvHelp)
+				t.cleanup(c, k, rec)
 				c.Inc(perf.EvRestart)
 				continue
 			}

@@ -214,7 +214,7 @@ func (h *LF) getOrInsertCtx(c *perf.Ctx, k core.Key, v core.Value) (core.Value, 
 				return dupVal, false
 			}
 			c.Inc(perf.EvRestart)
-			spin = locks.Pause(spin)
+			h.awaitInserters(c, k)
 			continue
 		}
 
@@ -260,6 +260,32 @@ func (h *LF) ForEach(yield func(core.Key, core.Value) bool) {
 			}
 		}
 	}
+}
+
+// awaitInserters spins read-only until no slot in k's chain is INSERTING
+// with key k. An inserter that deferred calls it after its rollback, so it
+// retries once the chain-order winner has resolved. Retrying at once would
+// re-claim a slot on every spin: each round costs a store and a CAS, and
+// the winner, waiting for that slot's "next step", can keep finding it
+// INSERTING again.
+func (h *LF) awaitInserters(c *perf.Ctx, k core.Key) {
+	c.Inc(perf.EvWait)
+	for spin := 0; h.inserting(k); {
+		spin = locks.Pause(spin)
+	}
+}
+
+// inserting reports whether some slot in k's chain is INSERTING with key k.
+func (h *LF) inserting(k core.Key) bool {
+	for b := &h.t.buckets[mix(k)&h.t.mask]; b != nil; b = b.next.Load() {
+		s := b.conc.Load()
+		for i := 0; i < entriesPerBucket; i++ {
+			if snapState(s, i) == slotInserting && b.key[i].Load() == uint64(k) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // rollback releases an owned slot without committing it.

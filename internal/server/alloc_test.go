@@ -410,3 +410,48 @@ func TestServerScanPathAllocGate(t *testing.T) {
 		})
 	}
 }
+
+// TestServerSetPathAllocGate is the write-side allocation gate: Store.Set
+// overwriting a live key in steady state — item build into the pooled
+// value block, the facade's chain swap, the retired block's free — must
+// cost at most 2 heap allocations per op, on the native-Update hash table
+// and on two structures served by the generic Update fallback.
+func TestServerSetPathAllocGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-mode sync.Pool drops Puts at random, so Pin() itself allocates")
+	}
+	for _, algo := range []string{"ht-clht-lb", "sl-fraser-opt", "ll-lazy"} {
+		t.Run(algo, func(t *testing.T) {
+			st, err := NewStore(algo, 1<<10, true, 1, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys := make([][]byte, 64)
+			val := bytes.Repeat([]byte("v"), 100)
+			p := st.Pin()
+			for i := range keys {
+				keys[i] = []byte(fmt.Sprintf("setkey%02d", i))
+				st.Set(p, keys[i], 7, 0, val)
+			}
+			p.Unpin()
+			i := 0
+			step := func() {
+				p := st.Pin()
+				st.Set(p, keys[i%len(keys)], 7, 0, val)
+				p.Unpin()
+				i++
+			}
+			for j := 0; j < 256; j++ {
+				step() // steady state: value blocks recycled, pools primed
+			}
+			avg := testing.AllocsPerRun(1024, step)
+			t.Logf("%s: overwriting Store.Set allocates %.2f/op", algo, avg)
+			if avg > 2 {
+				t.Fatalf("overwriting Store.Set allocates %.2f/op, want <= 2", avg)
+			}
+			if n := st.Items(); n != len(keys) {
+				t.Fatalf("store holds %d items after overwrites, want %d", n, len(keys))
+			}
+		})
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 )
 
 // statsDiffKeys is the full deterministic wire-counter surface: every
@@ -39,6 +40,12 @@ func runStatsWorkload(t *testing.T, global bool) map[string]string {
 	t.Helper()
 	s := startServerCfg(t, Config{Algo: "ht-clht-lb", Shards: 4, globalWireStats: global})
 	addr := s.Addr().String()
+	// CAS tokens are store-global, so which connection draws which token
+	// depends on the interleaving. Start them at a 13-digit value that the
+	// run cannot carry into a 14th digit (even with the corrupted tokens'
+	// +7777), so every token a gets reply or a cas command carries has the
+	// same width and bytes_read/bytes_written depend on the workload alone.
+	s.store.cas.Store(1_000_000_000_000)
 
 	const conns = 6
 	var wg sync.WaitGroup
@@ -127,6 +134,18 @@ func runStatsWorkload(t *testing.T, global bool) map[string]string {
 		}
 	}
 
+	// A handler counts bytes it reads (the clients' final quit frames) and
+	// bytes it writes (this connection's last reply) after the syscall, so
+	// the counts can trail what the peers saw. Close the raw connection too
+	// and wait until every handler has exited before reading the counters.
+	raw.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.currConns.Load() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("workload connections did not drain: %d open", s.currConns.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
 	return s.StatsMap()
 }
 

@@ -94,7 +94,7 @@ type Store struct {
 	reaping []reapFlag
 	// reapHook, when non-nil, runs on the reap path after the reaper flag
 	// is taken — the test seam for the panic-survival regression test (the
-	// real panic sources, like the facade's arena-exhaustion panic inside
+	// real panic sources, like the facade's slot-exhaustion panic inside
 	// UpdateBytes, cannot be triggered deterministically from out here).
 	reapHook func()
 	// flush_all bookkeeping, the analog of memcached's oldest_live rule
@@ -151,11 +151,13 @@ func NewStore(algo string, capacity int, poolValues bool, shards int, ordered bo
 		}
 	}
 	s.pins.New = func() any {
-		return &pinFrame{
+		f := &pinFrame{
 			as:      make([]*ssmem.BufAllocator, shards),
 			touched: make([]int, 0, shards),
 			counts:  make([]int32, shards),
 		}
+		f.set.apply = f.set.step
+		return f
 	}
 	return s, nil
 }
@@ -194,6 +196,8 @@ type pinFrame struct {
 	perm   []int32
 	items  []Item
 	hits   []bool
+	// set is Store.Set's callback state, reused by every set under the pin.
+	set setOp
 }
 
 // ensureBatch sizes the per-key tables for an n-key batch.
@@ -431,7 +435,7 @@ func (s *Store) GetBatch(p Pin, keys [][]byte, fn func(i int, it Item, ok bool))
 // is still dead — bounded to one reaper per shard at a time so a stampede
 // of readers on a hot expired key cannot pile onto the mutation path, and
 // non-blocking for everyone who loses the flag. The flag clear is deferred:
-// a panic on the reap path (the facade's value-arena exhaustion panic
+// a panic on the reap path (the facade's slot-exhaustion panic
 // surfaces through UpdateBytes, and an injected clock can throw too) must
 // not leave the flag stuck and permanently disable reaping for the shard.
 func (s *Store) reapDead(p Pin, sh int, h uint64, key []byte, cas uint64) {
@@ -461,17 +465,31 @@ func (s *Store) reapDead(p Pin, sh int, h uint64, key []byte, cas uint64) {
 // Set unconditionally stores the value and returns its CAS token.
 func (s *Store) Set(p Pin, key []byte, flags uint32, exptime int64, data []byte) uint64 {
 	sh, h := s.sm.RouteBytes(key)
-	it := s.newItem(p, sh, flags, exptime, data)
-	var retired []byte
-	s.sm.UpdateBytesHashed(sh, h, key, func(old Item, present bool) (Item, bool) {
-		retired = nil
-		if present {
-			retired = old.Data
-		}
-		return it, true
-	})
-	p.free(sh, retired)
-	return it.CAS
+	op := &p.f.set
+	op.it = s.newItem(p, sh, flags, exptime, data)
+	s.sm.UpdateBytesHashed(sh, h, key, op.apply)
+	cas := op.it.CAS
+	p.free(sh, op.retired)
+	op.it, op.retired = Item{}, nil
+	return cas
+}
+
+// setOp is Set's update callback with its state. It lives in the pooled
+// pin frame, and apply is its step method bound once when the frame is
+// built, so a set hands the facade a callback without allocating a closure
+// or a cell for the retired block.
+type setOp struct {
+	apply   func(old Item, present bool) (Item, bool)
+	it      Item
+	retired []byte
+}
+
+func (o *setOp) step(old Item, present bool) (Item, bool) {
+	o.retired = nil
+	if present {
+		o.retired = old.Data
+	}
+	return o.it, true
 }
 
 // Add stores the value only if the key holds no live item.

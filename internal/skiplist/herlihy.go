@@ -124,6 +124,13 @@ func (l *Herlihy) InsertCtx(c *perf.Ctx, k core.Key, v core.Value) bool {
 			c.Inc(perf.EvParseRestart)
 			continue
 		}
+		// A window with a marked pred or succ cannot pass validation
+		// until its remover unlinks, so re-parse without locking: an
+		// insert that ends up failing must not have locked (ASCY3).
+		if windowMarked(preds[:h], succs[:h]) {
+			c.Inc(perf.EvParseRestart)
+			continue
+		}
 		// Lock all predecessors up to the new tower's height and
 		// validate adjacency and liveness.
 		highest := -1
@@ -156,6 +163,17 @@ func (l *Herlihy) InsertCtx(c *perf.Ctx, k core.Key, v core.Value) bool {
 		unlockPreds(preds[:], highest)
 		return true
 	}
+}
+
+// windowMarked reports whether any pred or succ of a parsed window is
+// marked for removal.
+func windowMarked(preds, succs []*hNode) bool {
+	for lvl := range preds {
+		if preds[lvl].marked.Load() || succs[lvl].marked.Load() {
+			return true
+		}
+	}
+	return false
 }
 
 // unlockPreds unlocks preds[0..highest], skipping duplicates (the same pred

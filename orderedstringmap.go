@@ -1,6 +1,10 @@
 package ascylib
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/core"
+)
 
 // OrderedStringMap is StringMap's order-preserving sibling: a concurrent
 // map from string keys to V whose enumeration order is true lexicographic
@@ -52,7 +56,7 @@ func MustNewOrderedStringMap[V any](algo string, opts ...Option) *OrderedStringM
 
 // NativeOrder reports whether the backing structure enumerates in key
 // order itself; when false, ranges snapshot and sort (O(n log n)).
-func (m *OrderedStringMap[V]) NativeOrder() bool { return m.m.NativeOrder() }
+func (m *OrderedStringMap[V]) NativeOrder() bool { return m.native }
 
 // RangeBytes yields the entries with lo <= key <= hi in ascending
 // lexicographic order, stopping after limit entries (limit <= 0 means
@@ -89,45 +93,52 @@ func rangeBytes[V any](m *StringMap[V], lo, hi []byte, limit int, fn func(k stri
 		phi = prefixHash(hi)
 	}
 	n := 0
-	m.m.Range(plo, phi, func(_ uint64, chain []strEntry[V]) bool {
-		for i := range chain {
-			if len(lo) > 0 && cmpKey(chain[i].key, lo) < 0 {
+	m.ord.Range(coreKey(plo), coreKey(phi), m.chains(func(c *strChain[V]) bool {
+		for i := 0; i < c.len(); i++ {
+			e := c.at(i)
+			if len(lo) > 0 && cmpKey(e.key, lo) < 0 {
 				continue
 			}
-			if hi != nil && cmpKey(chain[i].key, hi) > 0 {
+			if hi != nil && cmpKey(e.key, hi) > 0 {
 				return false
 			}
 			if limit > 0 && n >= limit {
 				return false
 			}
 			n++
-			if !fn(chain[i].key, chain[i].val) {
+			if !fn(e.key, e.val) {
 				return false
 			}
 		}
 		return true
-	})
+	}))
 	return n
 }
 
 // minEntry returns the smallest entry of an ordered StringMap: the first
 // element of the smallest bucket's sorted chain.
 func minEntry[V any](m *StringMap[V]) (string, V, bool) {
-	_, chain, ok := m.m.Min()
-	if !ok || len(chain) == 0 {
-		var zero V
-		return "", zero, false
-	}
-	return chain[0].key, chain[0].val, true
+	return endEntry(m, m.ord.Min, func(c *strChain[V]) *strEntry[V] { return &c.head })
 }
 
 // maxEntry returns the largest entry of an ordered StringMap: the last
 // element of the largest bucket's sorted chain.
 func maxEntry[V any](m *StringMap[V]) (string, V, bool) {
-	_, chain, ok := m.m.Max()
-	if !ok || len(chain) == 0 {
-		var zero V
-		return "", zero, false
+	return endEntry(m, m.ord.Max, func(c *strChain[V]) *strEntry[V] { return c.at(c.len() - 1) })
+}
+
+// endEntry picks an entry of the chain at one end of the core, searching
+// again when that chain's slot is released under the lookup.
+func endEntry[V any](m *StringMap[V], end func() (core.Key, core.Value, bool), pick func(*strChain[V]) *strEntry[V]) (string, V, bool) {
+	for {
+		_, w, ok := end()
+		if !ok {
+			var zero V
+			return "", zero, false
+		}
+		if c, live := m.slots.load(w); live {
+			e := pick(c)
+			return e.key, e.val, true
+		}
 	}
-	return chain[len(chain)-1].key, chain[len(chain)-1].val, true
 }

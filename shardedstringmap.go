@@ -12,7 +12,7 @@ import (
 // independent StringMap instances — the sharding layer the server runs on.
 // Where Sharded(n) on Map/StringMap shards the backing structure under one
 // facade, ShardedStringMap shards the facade itself: every shard is a
-// complete StringMap with its own backing structure, its own value arena,
+// complete StringMap with its own backing structure, its own slot table,
 // and (with RecycleNodes) its own SSMEM recycling domain, so shards share no
 // synchronization whatsoever. The point, per the paper's Figure 2 story:
 // hash tables scale because they are already sharded; this applies the same

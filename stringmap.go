@@ -2,7 +2,9 @@ package ascylib
 
 import (
 	"math"
+	"sync"
 
+	"repro/internal/core"
 	"repro/internal/ssmem"
 )
 
@@ -13,20 +15,43 @@ import (
 // not fit an integer type.
 //
 // Keys are carried onto the 64-bit core by hashing (FNV-1a) and chaining:
-// each core entry holds the small slice of (key, value) pairs whose keys
-// collide on the hash, stored in Map's generation-tagged value arena. All
-// per-key operations are read-modify-writes of that chain through
-// Map.Update, so they inherit Map's atomicity contract: atomic against
-// everything on algorithms with native Update (see Capabilities), atomic
-// against each other elsewhere. With a 64-bit hash, chains are almost
-// always a single element.
+// the core maps each hash to a slot handle, and the slot holds the
+// immutable collision chain of (key, value) pairs whose keys share that
+// hash. A read is a core Search plus atomic loads of the slot — no lock,
+// no store. A write is one core Update whose callback builds the next
+// chain; overwriting a live key swaps the new chain into the key's
+// existing slot, so the core's value word stays put and the structure
+// performs no store of its own. Per-key operations are therefore atomic
+// against everything on algorithms with native Update (see Capabilities)
+// and atomic against each other elsewhere — and, because overwrites never
+// remove and re-insert the core entry, a concurrent Get never sees a live
+// key briefly absent on either kind of backend. With a 64-bit hash, chains
+// are almost always a single element.
+//
+// The swap rests on one invariant: StringMap writes its core only through
+// Update, so the UpdateFunc of every write runs exactly once. On CLHT-LB it
+// runs under the bucket lock. On the generic fallback (core.Extend) every
+// write holds the key's lock stripe, an overwrite ends at the fallback's
+// "keep && nv == old" no-op exit, and the fallback re-invokes its callback
+// only after losing a race to a plain Insert or Remove — which StringMap
+// never issues. Slots are allocated only when a hash gains its first key
+// and released only after the core has removed it.
 //
 // Because hashing destroys order, StringMap has no Range/Min/Max; ForEach
 // enumerates in no particular order. Use Map for ordered typed keys — or
 // OrderedStringMap, which swaps the hash for an order-preserving 8-byte
 // prefix encoding so string order survives the trip through the core.
 type StringMap[V any] struct {
-	m *Map[uint64, []strEntry[V]]
+	set    core.Extended
+	raw    core.Set // the unwrapped structure (recycling stats, shard probing)
+	ord    core.Ordered
+	native bool
+	slots  slotTable[V]
+
+	// updS and updB pool the per-write state (chainUpd) for string and
+	// []byte keys. Each pooled state carries its UpdateFunc pre-bound, so
+	// a write hands the core a callback without allocating one.
+	updS, updB sync.Pool
 
 	// ordered selects the order-preserving keying mode (see
 	// OrderedStringMap): keys are carried onto the core by their big-endian
@@ -36,20 +61,16 @@ type StringMap[V any] struct {
 	ordered bool
 }
 
-type strEntry[V any] struct {
-	key string
-	val V
-}
-
 // NewStringMap builds a string-keyed map on the named algorithm. The hash
 // tables ("ht-clht-lb", "ht-clht-lf") are the natural backends; any
 // registered algorithm works.
 func NewStringMap[V any](algo string, opts ...Option) (*StringMap[V], error) {
-	m, err := NewMap[uint64, []strEntry[V]](algo, opts...)
+	s, err := core.New(algo, opts...)
 	if err != nil {
 		return nil, err
 	}
-	return &StringMap[V]{m: m}, nil
+	ord, native := core.OrderedOf(s)
+	return &StringMap[V]{set: core.Extend(s), raw: s, ord: ord, native: native}, nil
 }
 
 // MustNewStringMap is NewStringMap, panicking on error.
@@ -109,8 +130,6 @@ func keyHash[K ~string | ~[]byte, V any](m *StringMap[V], k K) uint64 {
 	return strHash(k)
 }
 
-func (m *StringMap[V]) hash(k string) uint64 { return keyHash(m, k) }
-
 // eqKey compares a stored string key with a string or []byte key without
 // allocating (the explicit loop sidesteps any conversion).
 func eqKey[K ~string | ~[]byte](s string, k K) bool {
@@ -150,17 +169,31 @@ func cmpKey[K ~string | ~[]byte](s string, k K) int {
 	return 0
 }
 
-// getChain is the shared read path: look up the collision chain under the
-// precomputed hash h and scan it for k. Split from Get/GetBytes so the
+// coreKey places a key hash in the core's key domain: both hashes stay
+// below the two reserved top values, and the shift by one moves them off
+// the reserved 0 (the same encoding Map applies to uint64 keys).
+func coreKey(h uint64) core.Key { return core.Key(h + 1) }
+
+// getChain is the shared read path: look up the slot under the precomputed
+// hash h, load its chain, and scan it for k. Split from Get/GetBytes so the
 // sharded facade can route and look up with a single hash computation.
+// Only atomic loads: the core Search, then the slot's chain and generation.
 func getChain[K ~string | ~[]byte, V any](m *StringMap[V], h uint64, k K) (V, bool) {
-	chain, ok := m.m.Get(h)
-	if ok {
-		for i := range chain {
-			if eqKey(chain[i].key, k) {
-				return chain[i].val, true
-			}
+	for {
+		w, ok := m.set.Search(coreKey(h))
+		if !ok {
+			break
 		}
+		c, live := m.slots.load(w)
+		if !live {
+			// The hash lost its last key, and its slot was released,
+			// between the search and the load; search again.
+			continue
+		}
+		if i := chainIndex(c, k); i >= 0 {
+			return c.at(i).val, true
+		}
+		break
 	}
 	var zero V
 	return zero, false
@@ -196,104 +229,109 @@ func HashBytes(k []byte) uint64 { return strHash(k) }
 // as a string or as bytes off the wire.
 func HashString(k string) uint64 { return strHash(k) }
 
-// chainUpd carries one updateChain call's mutable state in a single heap
-// object (see Map's updState for the allocation rationale). The staging
-// chain is allocated once per call and reused across speculative
-// invocations of the callback: earlier invocations' results are discarded
-// by contract, so rewriting the same backing array is safe, and the final
-// invocation's array is what gets published.
-type chainUpd[K ~string | ~[]byte, V any] struct {
-	k          K
-	f          func(old V, present bool) (V, bool)
+// chainUpd is one write's state. It is pooled per map and key type, and its
+// apply field is the step method bound once at construction, so a write
+// costs neither a state object nor a callback allocation.
+type chainUpd[K string | []byte, V any] struct {
+	m     *StringMap[V]
+	apply core.UpdateFunc
+
+	h uint64
+	k K
+	f func(old V, present bool) (V, bool)
+
 	outV       V
 	outPresent bool
-	sorted     bool // keep the chain lexicographically sorted (ordered mode)
-	scratch    []strEntry[V]
+	// emptied is the handle of a slot whose last key the write removed;
+	// it is released once the core has dropped the hash.
+	emptied core.Value
+	release bool
 }
 
-func (s *chainUpd[K, V]) step(chain []strEntry[V], _ bool) ([]strEntry[V], bool) {
-	k := s.k
-	idx := -1
-	for i := range chain {
-		if len(chain[i].key) == len(k) {
-			match := true
-			for j := 0; j < len(k); j++ {
-				if chain[i].key[j] != k[j] {
-					match = false
-					break
-				}
-			}
-			if match {
-				idx = i
-				break
-			}
+// step is the core UpdateFunc of every write; by the invariant on
+// StringMap it runs exactly once per write, with the key's writers
+// excluded. It reads the key's chain, applies f, and publishes the result:
+// a fresh slot for a hash's first key, a chain swapped into the existing
+// slot for every other change (the core word is returned unchanged, which
+// both CLHT-LB and the fallback treat as nothing to store), and a removal
+// of the core entry when the last key goes.
+func (s *chainUpd[K, V]) step(w core.Value, present bool) (core.Value, bool) {
+	m := s.m
+	var c *strChain[V]
+	i := -1
+	if present {
+		var live bool
+		if c, live = m.slots.load(w); !live {
+			panic("ascylib: StringMap slot released under a writer of its key")
 		}
+		i = chainIndex(c, s.k)
 	}
 	var old V
-	if idx >= 0 {
-		old = chain[idx].val
+	if i >= 0 {
+		old = c.at(i).val
 	}
-	nv, keep := s.f(old, idx >= 0)
+	nv, keep := s.f(old, i >= 0)
 	switch {
 	case keep:
-		if cap(s.scratch) < len(chain)+1 {
-			s.scratch = make([]strEntry[V], 0, len(chain)+1)
-		}
-		out := append(s.scratch[:0], chain...)
-		if idx >= 0 {
-			out[idx].val = nv
-		} else if s.sorted {
-			// Ordered mode: splice the fresh key in at its lexicographic
-			// position so the chain enumerates in string order.
-			at := len(out)
-			for i := range out {
-				if cmpKey(out[i].key, k) > 0 {
-					at = i
-					break
-				}
-			}
-			out = append(out, strEntry[V]{})
-			copy(out[at+1:], out[at:])
-			out[at] = strEntry[V]{key: string(k), val: nv}
-		} else {
-			out = append(out, strEntry[V]{key: string(k), val: nv})
-		}
-		s.scratch = out
 		s.outV, s.outPresent = nv, true
-		return out, true
-	case idx < 0:
-		// Removing an absent key: leave the chain as it stands.
-		s.outV, s.outPresent = old, false
-		return chain, len(chain) > 0
-	default:
-		if cap(s.scratch) < len(chain)-1 {
-			s.scratch = make([]strEntry[V], 0, len(chain)-1)
+		if c == nil {
+			return m.slots.alloc(s.h, &strChain[V]{head: strEntry[V]{key: string(s.k), val: nv}}), true
 		}
-		out := append(s.scratch[:0], chain[:idx]...)
-		out = append(out, chain[idx+1:]...)
-		s.scratch = out
+		m.slots.swap(w, chainPut(c, i, s.k, nv, m.ordered))
+		return w, true
+	case i < 0:
+		// Removing an absent key: nothing changes.
 		s.outV, s.outPresent = old, false
-		return out, len(out) > 0
+		return w, present
+	default:
+		s.outV, s.outPresent = old, false
+		if len(c.rest) == 0 {
+			s.emptied, s.release = w, true
+			return w, false
+		}
+		m.slots.swap(w, c.drop(i))
+		return w, true
 	}
 }
 
-// updateChain is the shared read-modify-write over a collision chain,
-// generic over string and []byte keys, under a precomputed hash (see
-// getChain). The key is converted to a string only when a fresh entry is
-// appended — steady-state mutations of existing keys never materialize one.
-func updateChain[K ~string | ~[]byte, V any](m *StringMap[V], h uint64, k K, f func(old V, present bool) (V, bool)) (V, bool) {
-	st := chainUpd[K, V]{k: k, f: f, sorted: m.ordered}
-	m.m.Update(h, st.step)
-	return st.outV, st.outPresent
+// updPool returns the map's state pool for key type K.
+func updPool[K string | []byte, V any](m *StringMap[V]) *sync.Pool {
+	var k K
+	if _, ok := any(k).(string); ok {
+		return &m.updS
+	}
+	return &m.updB
+}
+
+// updateChain is the shared read-modify-write of one key, generic over
+// string and []byte keys, under a precomputed hash (see getChain). The key
+// is converted to a string only when a fresh entry is added — overwrites
+// and removals reuse the stored key string.
+func updateChain[K string | []byte, V any](m *StringMap[V], h uint64, k K, f func(old V, present bool) (V, bool)) (V, bool) {
+	pool := updPool[K](m)
+	s, _ := pool.Get().(*chainUpd[K, V])
+	if s == nil {
+		s = &chainUpd[K, V]{m: m}
+		s.apply = s.step
+	}
+	s.h, s.k, s.f = h, k, f
+	m.set.Update(coreKey(h), s.apply)
+	if s.release {
+		m.slots.free(s.emptied)
+	}
+	v, present := s.outV, s.outPresent
+	*s = chainUpd[K, V]{m: m, apply: s.apply} // drop the key, f and value
+	pool.Put(s)
+	return v, present
 }
 
 // Update atomically transforms the entry for k: f receives the current
 // value (present reports existence) and returns the new value and whether
 // the key should remain present. It returns the value after the update and
 // the resulting presence (the removed value with false when the update
-// removes the entry). Like Map.Update, f must be pure and must not call
-// back into the map: it may be invoked more than once, and only the last
-// invocation takes effect.
+// removes the entry). f must be pure and must not call back into the map;
+// it runs once per call, and on natively updating algorithms it runs under
+// the structure's own lock.
 func (m *StringMap[V]) Update(k string, f func(old V, present bool) (V, bool)) (V, bool) {
 	return updateChain(m, keyHash(m, k), k, f)
 }
@@ -382,49 +420,53 @@ func (m *StringMap[V]) Delete(k string) (V, bool) {
 	return deleteChain(m, keyHash(m, k), k)
 }
 
+// chains adapts a core enumeration to chains: each yielded slot handle is
+// loaded, and a slot released under the walk (its hash lost its last key)
+// is skipped.
+func (m *StringMap[V]) chains(yield func(c *strChain[V]) bool) func(core.Key, core.Value) bool {
+	return func(_ core.Key, w core.Value) bool {
+		c, live := m.slots.load(w)
+		return !live || yield(c)
+	}
+}
+
 // Len counts the entries. Like Set.Size: linear time, quiescent use.
 func (m *StringMap[V]) Len() int {
 	n := 0
-	m.m.ForEach(func(_ uint64, chain []strEntry[V]) bool {
-		n += len(chain)
+	m.set.ForEach(m.chains(func(c *strChain[V]) bool {
+		n += c.len()
 		return true
-	})
+	}))
 	return n
 }
 
 // ForEach enumerates entries, in no particular order, until yield returns
 // false. Entries deleted concurrently may be skipped.
 func (m *StringMap[V]) ForEach(yield func(k string, v V) bool) {
-	m.m.ForEach(func(_ uint64, chain []strEntry[V]) bool {
-		for i := range chain {
-			if !yield(chain[i].key, chain[i].val) {
-				return false
-			}
-		}
-		return true
-	})
+	m.set.ForEach(m.chains(func(c *strChain[V]) bool { return c.each(yield) }))
 }
 
 // Snapshot enumerates entries through the core's consistent-cut traversal
-// (see Map.Snapshot) and reports whether the cut is native. A whole
-// collision chain is one core value, so every key in a chain is observed at
-// the same instant — a chain can never be half-snapshotted.
+// (see Map.Snapshot) and reports whether the cut is native. Each slot's
+// chain is loaded once, at one instant inside the call, so every key in a
+// chain is observed at the same instant — a chain can never be
+// half-snapshotted — and every yielded value was live at that instant.
 func (m *StringMap[V]) Snapshot(yield func(k string, v V) bool) bool {
-	return m.m.Snapshot(func(_ uint64, chain []strEntry[V]) bool {
-		for i := range chain {
-			if !yield(chain[i].key, chain[i].val) {
-				return false
-			}
-		}
-		return true
-	})
+	sn, native := core.SnapshotterOf(m.raw)
+	sn.Snapshot(m.chains(func(c *strChain[V]) bool { return c.each(yield) }))
+	return native
 }
 
 // RecycleStats returns the backing structure's SSMEM allocator counters
 // (zero without recycling); see Map.RecycleStats.
-func (m *StringMap[V]) RecycleStats() ssmem.Stats { return m.m.RecycleStats() }
+func (m *StringMap[V]) RecycleStats() ssmem.Stats {
+	if r, ok := m.raw.(core.Recycler); ok {
+		return r.RecycleStats()
+	}
+	return ssmem.Stats{}
+}
 
 // NumShards reports how many structure instances back the map: n when built
 // with Sharded(n > 1), otherwise 1. (A ShardedStringMap shards the facade
 // itself instead; its shards each report 1 here.)
-func (m *StringMap[V]) NumShards() int { return m.m.NumShards() }
+func (m *StringMap[V]) NumShards() int { return core.NumShards(m.raw) }

@@ -3,7 +3,12 @@ package ascylib
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"unsafe"
+
+	"repro/internal/pad"
+	"repro/internal/xrand"
 )
 
 func TestStringMapBasic(t *testing.T) {
@@ -220,5 +225,172 @@ func TestStringMapUpdateStagingIsolated(t *testing.T) {
 	}
 	if v, ok := m.Get("pair"); !ok || v[0] != v[1] {
 		t.Fatalf("final value torn: %v %v", v, ok)
+	}
+}
+
+// churnMap is the per-key surface shared by the three facades the churn
+// gate drives.
+type churnMap interface {
+	GetBytes(k []byte) ([2]uint64, bool)
+	UpdateBytes(k []byte, f func(old [2]uint64, present bool) ([2]uint64, bool)) ([2]uint64, bool)
+}
+
+// TestStringMapChurnGate races readers against writers that delete and
+// reinsert the same keys, so slots are released and reused under the
+// readers, while other goroutines bump counters through UpdateBytes. Every
+// value read must be a pair some writer stored under that very key (the
+// key's index rides in the value, and the two halves must agree), and no
+// counter bump may be lost. It covers the native-Update hash table and two
+// fallback structures, each in hash mode, ordered mode (where the shared
+// 8-byte prefix of the "churnkey" keys builds long sorted chains beside
+// one-key chains) and as a 4-shard ShardedStringMap. Meant for -race.
+func TestStringMapChurnGate(t *testing.T) {
+	for _, algo := range []string{"ht-clht-lb", "ll-lazy", "sl-fraser-opt"} {
+		t.Run(algo+"/hash", func(t *testing.T) {
+			runChurnGate(t, MustNewStringMap[[2]uint64](algo, Capacity(64)), nil)
+		})
+		t.Run(algo+"/ordered", func(t *testing.T) {
+			m := MustNewOrderedStringMap[[2]uint64](algo, Capacity(64))
+			runChurnGate(t, m, m)
+		})
+		t.Run(algo+"/sharded-4", func(t *testing.T) {
+			runChurnGate(t, MustNewShardedStringMap[[2]uint64](algo, 4, Capacity(64)), nil)
+		})
+	}
+}
+
+func runChurnGate(t *testing.T, m churnMap, ordered *OrderedStringMap[[2]uint64]) {
+	const (
+		churnKeys   = 24
+		counterKeys = 4
+		churners    = 3
+		churnOps    = 2000
+		bumpers     = 3
+		bumps       = 300
+		readers     = 2
+		tagBit      = uint64(1) << 63
+	)
+	var keys []string
+	for i := 0; i < churnKeys+counterKeys; i++ {
+		if i%2 == 0 {
+			keys = append(keys, fmt.Sprintf("churnkey%03d", i)) // one shared ordered prefix
+		} else {
+			keys = append(keys, fmt.Sprintf("c%03d", i)) // a prefix of its own
+		}
+	}
+	index := map[string]int{}
+	for i, k := range keys {
+		index[k] = i
+	}
+	// check reports why v cannot have been stored under key i, or "".
+	check := func(i int, v [2]uint64) string {
+		switch {
+		case v[0] != v[1]:
+			return fmt.Sprintf("torn pair %v", v)
+		case i >= churnKeys:
+			if v[0] > bumpers*bumps {
+				return fmt.Sprintf("counter %d past its final value", v[0])
+			}
+		case v[0]&tagBit == 0 || int(v[0]>>32&0x7fffffff) != i:
+			return fmt.Sprintf("value %#x was never stored under this key", v[0])
+		}
+		return ""
+	}
+
+	var failed atomic.Bool
+	fail := func(format string, args ...any) {
+		if failed.CompareAndSwap(false, true) {
+			t.Errorf(format, args...)
+		}
+	}
+	var writers, all sync.WaitGroup
+	done := make(chan struct{})
+	for w := 0; w < churners; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			rng := xrand.New(uint64(w) + 1)
+			for op := 0; op < churnOps && !failed.Load(); op++ {
+				i := rng.Intn(churnKeys)
+				tag := tagBit | uint64(i)<<32 | uint64(w*churnOps+op)
+				keep := rng.Intn(2) == 0
+				m.UpdateBytes([]byte(keys[i]), func(old [2]uint64, _ bool) ([2]uint64, bool) {
+					return [2]uint64{tag, tag}, keep
+				})
+			}
+		}(w)
+	}
+	for b := 0; b < bumpers; b++ {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for r := 0; r < bumps; r++ {
+				for i := churnKeys; i < len(keys); i++ {
+					m.UpdateBytes([]byte(keys[i]), func(old [2]uint64, _ bool) ([2]uint64, bool) {
+						return [2]uint64{old[0] + 1, old[1] + 1}, true
+					})
+				}
+			}
+		}()
+	}
+	for r := 0; r < readers; r++ {
+		all.Add(1)
+		go func(r int) {
+			defer all.Done()
+			rng := xrand.New(uint64(r) + 100)
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				i := rng.Intn(len(keys))
+				if v, ok := m.GetBytes([]byte(keys[i])); ok {
+					if why := check(i, v); why != "" {
+						fail("GetBytes(%s): %s", keys[i], why)
+						return
+					}
+				}
+				if ordered == nil || r != 0 {
+					continue
+				}
+				prev := ""
+				ordered.RangeBytes(nil, nil, 0, func(k string, v [2]uint64) bool {
+					j, known := index[k]
+					if !known || k <= prev {
+						fail("RangeBytes yielded %q after %q", k, prev)
+						return false
+					}
+					if why := check(j, v); why != "" {
+						fail("RangeBytes(%s): %s", k, why)
+						return false
+					}
+					prev = k
+					return true
+				})
+			}
+		}(r)
+	}
+	writers.Wait()
+	close(done)
+	all.Wait()
+	for i := churnKeys; i < len(keys); i++ {
+		if v, ok := m.GetBytes([]byte(keys[i])); !ok || v != [2]uint64{bumpers * bumps, bumpers * bumps} {
+			t.Errorf("counter %s = %v, %v; want %d: lost updates", keys[i], v, ok, bumpers*bumps)
+		}
+	}
+}
+
+// TestShardPadding pins the cache-line layout the free-list shards rely
+// on: StringMap's slot shards are whole cache lines, and a slot shard's
+// allocation state shares no line with the segment directory that every
+// read loads.
+func TestShardPadding(t *testing.T) {
+	var s slotShard[string]
+	if n := unsafe.Sizeof(s); n%pad.CacheLineSize != 0 {
+		t.Errorf("slotShard is %d bytes, not a whole number of cache lines", n)
+	}
+	if off := unsafe.Offsetof(s.segs); off != pad.CacheLineSize {
+		t.Errorf("slotShard.segs at offset %d, want %d", off, pad.CacheLineSize)
 	}
 }
