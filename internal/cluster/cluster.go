@@ -117,29 +117,29 @@ const (
 	routeNodeMask = routeDegErr - 1
 )
 
-// routeRing is a FIFO of pending response routes: which node (and, for split
-// gets, nodes) each queued request went to, so the receive half can replay
-// the send half's routing decisions in order. Power-of-two ring, grow-on-full
-// — steady state allocates nothing.
+// ring is a FIFO of pending receive-side facts, replayed by the receive
+// half in send order: the response routes (which node, and for split gets
+// nodes, each queued request went to) and the pending mrange limits.
+// Power-of-two ring, grow-on-full — steady state allocates nothing.
 //
 // The mutex covers the one sanctioned concurrency in the client: a pipelined
 // caller may run the send half and the receive half on two goroutines (the
-// load generator does), which makes the ring a single-producer single-
+// load generator does), which makes each ring a single-producer single-
 // consumer queue. Each request's push happens-before its own pop (the caller
 // must sequence a request's send before its receive to mean anything), but
 // the indices are shared between a later push and an earlier concurrent pop;
 // an uncontended mutex is nanoseconds and allocation-free.
-type routeRing struct {
+type ring[T any] struct {
 	mu   sync.Mutex
-	buf  []uint32
+	buf  []T
 	head int
 	n    int
 }
 
-func (r *routeRing) push(v uint32) {
+func (r *ring[T]) push(v T) {
 	r.mu.Lock()
 	if r.n == len(r.buf) {
-		grown := make([]uint32, max(64, 2*len(r.buf)))
+		grown := make([]T, max(64, 2*len(r.buf)))
 		for i := 0; i < r.n; i++ {
 			grown[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
 		}
@@ -150,11 +150,12 @@ func (r *routeRing) push(v uint32) {
 	r.mu.Unlock()
 }
 
-func (r *routeRing) pop() (uint32, bool) {
+func (r *ring[T]) pop() (T, bool) {
 	r.mu.Lock()
 	if r.n == 0 {
 		r.mu.Unlock()
-		return 0, false
+		var zero T
+		return zero, false
 	}
 	v := r.buf[r.head]
 	r.head = (r.head + 1) & (len(r.buf) - 1)
@@ -206,14 +207,17 @@ type Client struct {
 	degMisses atomic.Uint64
 	degErrors atomic.Uint64
 
-	routes routeRing
+	routes ring[uint32]
 	reqs   []uint64 // requests routed per node, lifetime of the client
 
 	// scanLimits is the pending-mrange limit FIFO, aligned with the route
-	// ring's scan broadcasts (see SendMRange/RecvMRange in scan.go); it
-	// follows the ring's SPSC discipline and locks the same way.
-	scanMu     sync.Mutex
-	scanLimits []uint64
+	// ring's scan broadcasts (see SendMRange/RecvMRange in scan.go).
+	scanLimits ring[uint64]
+	// Receive-half scan scratch, reused by every scan (see recvScanGroups):
+	// one entry slice per node, refilled through RecvGetAppend and cleared
+	// after the merge, and the slice of live groups handed to the merge.
+	scanBufs   [][]server.Entry
+	scanGroups [][]server.Entry
 
 	// Pooled group-by-node scratch for multi-key gets (see SendGet): the
 	// counting-sort workspace, per-key routes, the permutation, and the

@@ -336,13 +336,14 @@ func DialOptions(opts Options, addrs ...string) (*Client, error) {
 	}
 	opts.fill()
 	c := &Client{
-		router:  NewRouter(len(addrs)),
-		addrs:   append([]string(nil), addrs...),
-		nstates: make([]nodeState, len(addrs)),
-		reqs:    make([]uint64, len(addrs)),
-		counts:  make([]int32, len(addrs)),
-		stop:    make(chan struct{}),
-		opts:    opts,
+		router:   NewRouter(len(addrs)),
+		addrs:    append([]string(nil), addrs...),
+		nstates:  make([]nodeState, len(addrs)),
+		reqs:     make([]uint64, len(addrs)),
+		scanBufs: make([][]server.Entry, len(addrs)),
+		counts:   make([]int32, len(addrs)),
+		stop:     make(chan struct{}),
+		opts:     opts,
 	}
 	for i, a := range c.addrs {
 		ns := &c.nstates[i]

@@ -32,22 +32,15 @@ func clampScanLimit(limit uint64) uint64 {
 }
 
 // pushScanLimit / popScanLimit keep the pending mrange limits aligned with
-// the route ring's broadcasts (same SPSC discipline: each scan's send is
-// sequenced before its receive).
-func (c *Client) pushScanLimit(limit uint64) {
-	c.scanMu.Lock()
-	c.scanLimits = append(c.scanLimits, limit)
-	c.scanMu.Unlock()
-}
+// the route ring's broadcasts (same ring, same SPSC discipline: each scan's
+// send is sequenced before its receive).
+func (c *Client) pushScanLimit(limit uint64) { c.scanLimits.push(limit) }
 
 func (c *Client) popScanLimit() uint64 {
-	c.scanMu.Lock()
-	defer c.scanMu.Unlock()
-	if len(c.scanLimits) == 0 {
+	limit, ok := c.scanLimits.pop()
+	if !ok {
 		return server.MaxRangeKeys
 	}
-	limit := c.scanLimits[0]
-	c.scanLimits = c.scanLimits[1:]
 	return limit
 }
 
@@ -103,13 +96,18 @@ func (c *Client) SendMMax() error {
 // pipelines stay aligned. Degraded nodes synthesize per policy: a miss-read
 // degrade silently shortens the scan (that slice of the keyspace is down),
 // fail-fast yields ErrNodeDown.
+//
+// The groups live in the client's scan scratch: each node's entries are
+// received into its reused slice, so a scan allocates one block per entry
+// and nothing per node. The caller copies out what it keeps and then calls
+// releaseScan.
 func (c *Client) recvScanGroups() ([][]server.Entry, error) {
-	var groups [][]server.Entry
+	c.scanGroups = c.scanGroups[:0]
 	var firstErr error
 	for {
 		tag, ok := c.routes.pop()
 		if !ok {
-			return groups, errNoRoute
+			return c.scanGroups, errNoRoute
 		}
 		switch {
 		case tag&routeDegMiss != 0:
@@ -123,14 +121,15 @@ func (c *Client) recvScanGroups() ([][]server.Entry, error) {
 			n := int(tag & routeNodeMask)
 			nc, synth := c.recvEnter(n)
 			if !synth {
-				es, rerr := nc.RecvGet()
+				es, rerr := nc.RecvGetAppend(c.scanBufs[n][:0])
+				c.scanBufs[n] = es
 				var out error
 				synth, out = c.recvExit(n, nc, rerr)
 				if out != nil && firstErr == nil {
 					firstErr = out
 				}
 				if !synth && out == nil {
-					groups = append(groups, es)
+					c.scanGroups = append(c.scanGroups, es)
 				}
 			}
 			if synth {
@@ -138,30 +137,44 @@ func (c *Client) recvScanGroups() ([][]server.Entry, error) {
 			}
 		}
 		if tag&routeMore == 0 {
-			return groups, firstErr
+			return c.scanGroups, firstErr
 		}
 	}
 }
 
+// releaseScan drops the scan scratch's references to the entry blocks, so
+// the scratch keeps its capacity but no received value alive.
+func (c *Client) releaseScan() {
+	for n := range c.scanBufs {
+		clear(c.scanBufs[n])
+	}
+	clear(c.scanGroups)
+}
+
 // mergeScan k-way merges sorted, key-disjoint per-node groups (cluster
 // routing puts each key on exactly one node, so no deduplication is
-// needed), truncating to limit (0 means unbounded). Linear scan over the
-// heads: k is the node count and limit at most MaxRangeKeys, so the merge
-// is O(k·limit) on trivially small constants.
+// needed), truncating to limit (0 means unbounded). The output is allocated
+// once, at its final length. Linear scan over the heads: k is the node
+// count and limit at most MaxRangeKeys, so the merge is O(k·limit) on
+// trivially small constants. groups is consumed.
 func mergeScan(groups [][]server.Entry, limit int) []server.Entry {
-	var out []server.Entry
-	for limit <= 0 || len(out) < limit {
+	total := 0
+	for _, g := range groups {
+		total += len(g)
+	}
+	if limit > 0 && limit < total {
+		total = limit
+	}
+	if total == 0 {
+		return nil
+	}
+	out := make([]server.Entry, 0, total)
+	for len(out) < total {
 		best := -1
 		for n := range groups {
-			if len(groups[n]) == 0 {
-				continue
-			}
-			if best < 0 || groups[n][0].Key < groups[best][0].Key {
+			if len(groups[n]) > 0 && (best < 0 || groups[n][0].Key < groups[best][0].Key) {
 				best = n
 			}
-		}
-		if best < 0 {
-			break
 		}
 		out = append(out, groups[best][0])
 		groups[best] = groups[best][1:]
@@ -176,6 +189,7 @@ func mergeScan(groups [][]server.Entry, limit int) []server.Entry {
 func (c *Client) RecvMRange() ([]server.Entry, error) {
 	limit := c.popScanLimit()
 	groups, err := c.recvScanGroups()
+	defer c.releaseScan()
 	if err != nil {
 		return nil, err
 	}
@@ -245,6 +259,7 @@ func (c *Client) RecvMRangeN() (entries int, dataBytes int64, err error) {
 // smallest (wantMax false) or largest (wantMax true) entry.
 func (c *Client) RecvMExtreme(wantMax bool) (server.Entry, bool, error) {
 	groups, err := c.recvScanGroups()
+	defer c.releaseScan()
 	if err != nil {
 		return server.Entry{}, false, err
 	}

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // repeatReader endlessly replays one frame, so a parse loop can run in
@@ -451,6 +453,92 @@ func TestServerSetPathAllocGate(t *testing.T) {
 			}
 			if n := st.Items(); n != len(keys) {
 				t.Fatalf("store holds %d items after overwrites, want %d", n, len(keys))
+			}
+		})
+	}
+}
+
+// TestServerDeletePathAllocGate is the delete-side allocation gate. Delete
+// and the expired-item reaper keep their callback state in the pooled pin
+// frame, as Set does, so an absent-key Store.Delete must cost 0 heap
+// allocations per op, and a live-key delete no more than the core
+// structure's own Remove of a present key costs (measured on a bare
+// instance of the same algorithm; fraser-opt's marks and unlinks allocate
+// one record each, the list and the hash table none).
+func TestServerDeletePathAllocGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-mode sync.Pool drops Puts at random, so Pin() itself allocates")
+	}
+	const n = 4096
+	for _, algo := range []string{"ht-clht-lb", "sl-fraser-opt", "ll-lazy"} {
+		t.Run(algo, func(t *testing.T) {
+			st, err := NewStore(algo, 1<<10, true, 1, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys := make([][]byte, n)
+			val := bytes.Repeat([]byte("v"), 100)
+			p := st.Pin()
+			for i := range keys {
+				keys[i] = []byte(fmt.Sprintf("delkey%05d", i))
+				st.Set(p, keys[i], 7, 0, val)
+			}
+			p.Unpin()
+			absent := []byte("absent-key")
+			miss := func() {
+				p := st.Pin()
+				if st.Delete(p, absent) {
+					t.Fatal("absent key deleted")
+				}
+				p.Unpin()
+			}
+			for j := 0; j < 64; j++ {
+				miss() // steady state: pools primed
+			}
+			if avg := testing.AllocsPerRun(1024, miss); avg != 0 {
+				t.Fatalf("absent-key Store.Delete allocates %.2f/op, want 0", avg)
+			}
+			// Live keys: AllocsPerRun makes one warm-up call and then the
+			// measured one, and each call deletes the next half of the
+			// keys, so the per-op figure keeps its fraction (AllocsPerRun
+			// truncates to whole allocations per run).
+			next := 0
+			storeDel := testing.AllocsPerRun(1, func() {
+				p := st.Pin()
+				for _, k := range keys[next : next+n/2] {
+					if !st.Delete(p, k) {
+						t.Fatalf("live key %q not deleted", k)
+					}
+				}
+				p.Unpin()
+				next += n / 2
+			}) / (n / 2)
+			if st.Items() != 0 {
+				t.Fatalf("store holds %d items after deleting all", st.Items())
+			}
+			set, err := core.New(algo, core.Capacity(1<<10))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := core.Key(1); k <= n; k++ {
+				set.Insert(k, core.Value(k))
+			}
+			next = 1
+			coreDel := testing.AllocsPerRun(1, func() {
+				for k := core.Key(next); k < core.Key(next+n/2); k++ {
+					if _, ok := set.Remove(k); !ok {
+						t.Fatalf("core key %d not removed", k)
+					}
+				}
+				next += n / 2
+			}) / (n / 2)
+			t.Logf("%s: live-key Store.Delete %.3f allocs/op, core Remove %.3f", algo, storeDel, coreDel)
+			// A per-delete allocation above the core's adds 1.0. Below
+			// that: the value pool's retire lists grow by one backing
+			// array every few dozen frees (about 0.03/op), and tower
+			// heights make fraser-opt's figure vary by a few hundredths.
+			if storeDel > coreDel+0.25 {
+				t.Fatalf("live-key Store.Delete allocates %.3f/op, core Remove %.3f/op: the store adds %.3f", storeDel, coreDel, storeDel-coreDel)
 			}
 		})
 	}

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // errNoKeys rejects a keyless retrieval before it reaches the wire: a bare
@@ -239,50 +241,97 @@ func (c *Client) readLine() (string, error) {
 
 // RecvGet receives the response of one SendGet: the entries found, in
 // server order.
-func (c *Client) RecvGet() ([]Entry, error) {
-	var out []Entry
+func (c *Client) RecvGet() ([]Entry, error) { return c.RecvGetAppend(nil) }
+
+// RecvGetAppend is RecvGet appending the entries to dst, so a caller that
+// receives many responses can reuse one entry slice. On error it returns dst
+// as passed in, never a partial response.
+//
+// Each entry costs exactly one heap block: the key and the data share it
+// (see readEntry), and the VALUE line is parsed in place in the read buffer,
+// so a response of n entries allocates n blocks plus dst's growth.
+func (c *Client) RecvGetAppend(dst []Entry) ([]Entry, error) {
+	n0 := len(dst)
+	fail := func(err error) ([]Entry, error) {
+		clear(dst[n0:])
+		return dst[:n0], err
+	}
 	for {
-		line, err := c.readLine()
+		line, err := c.readLineSlice()
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
-		if line == "END" {
-			return out, nil
+		if string(line) == "END" {
+			return dst, nil
 		}
-		if err := serverError(line); err != nil {
-			return nil, err
+		c.fields = splitFields(line, c.fields)
+		f := c.fields
+		if len(f) < 4 || string(f[0]) != "VALUE" {
+			if err := serverError(string(line)); err != nil {
+				return fail(err)
+			}
+			return fail(fmt.Errorf("client: malformed VALUE line %q", line))
 		}
-		f := strings.Fields(line)
-		if len(f) < 4 || f[0] != "VALUE" {
-			return nil, fmt.Errorf("client: malformed VALUE line %q", line)
+		flags, ok := parseU64(f[2])
+		if !ok || flags > math.MaxUint32 {
+			return fail(fmt.Errorf("client: bad flags in %q", line))
 		}
-		flags, err := strconv.ParseUint(f[2], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("client: bad flags in %q", line)
+		size, ok := parseU64(f[3])
+		if !ok || size > uint64(math.MaxInt-len(f[1])) {
+			return fail(fmt.Errorf("client: bad size in %q", line))
 		}
-		size, err := strconv.ParseInt(f[3], 10, 64)
-		if err != nil || size < 0 {
-			return nil, fmt.Errorf("client: bad size in %q", line)
-		}
-		e := Entry{Key: f[1], Flags: uint32(flags)}
+		e := Entry{Flags: uint32(flags)}
 		if len(f) >= 5 {
-			if e.CAS, err = strconv.ParseUint(f[4], 10, 64); err != nil {
-				return nil, fmt.Errorf("client: bad cas in %q", line)
+			if e.CAS, ok = parseU64(f[4]); !ok {
+				return fail(fmt.Errorf("client: bad cas in %q", line))
 			}
 		}
-		e.Data = make([]byte, size)
-		if _, err := io.ReadFull(c.br, e.Data); err != nil {
-			return nil, err
+		if e.Key, e.Data, err = c.readEntry(f[1], int(size)); err != nil {
+			return fail(err)
 		}
-		var term [2]byte
-		if _, err := io.ReadFull(c.br, term[:]); err != nil {
-			return nil, err
-		}
-		if term[0] != '\r' || term[1] != '\n' {
-			return nil, fmt.Errorf("client: value block not CRLF-terminated")
-		}
-		out = append(out, e)
+		dst = append(dst, e)
 	}
+}
+
+// eagerValue is the largest declared value size readEntry allocates up
+// front. Past it the block grows with the bytes that actually arrive, so a
+// corrupt size field cannot demand an arbitrary allocation.
+const eagerValue = DefaultMaxItemSize
+
+// readEntry reads one VALUE stanza's data block and its CRLF terminator into
+// a single heap block laid out key|data. key points into the read buffer and
+// is copied before the first read. The returned Key is a string over the
+// block's key prefix, which nothing writes afterwards; Data is capped at its
+// length, so an append to it reallocates instead of reaching past the block.
+// One block rather than a key string plus a data slice: on the cluster scan
+// path the separate 8-byte key strings landed in the tiny-allocator spans
+// the servers' keys use and kept more of them in use after GC.
+func (c *Client) readEntry(key []byte, size int) (string, []byte, error) {
+	k := len(key)
+	buf := make([]byte, k+min(size, eagerValue))
+	copy(buf, key)
+	for off := k; ; {
+		if _, err := io.ReadFull(c.br, buf[off:]); err != nil {
+			return "", nil, err
+		}
+		if len(buf) == k+size {
+			break
+		}
+		off = len(buf)
+		buf = append(buf, make([]byte, min(k+size-len(buf), len(buf)))...)
+	}
+	b0, err := c.br.ReadByte()
+	if err != nil {
+		return "", nil, err
+	}
+	b1, err := c.br.ReadByte()
+	if err != nil {
+		return "", nil, err
+	}
+	if b0 != '\r' || b1 != '\n' {
+		return "", nil, errors.New("client: value block not CRLF-terminated")
+	}
+	return unsafe.String(unsafe.SliceData(buf), k), buf[k : k+size : k+size], nil
 }
 
 // RecvLine receives a single-line response (STORED, DELETED, NOT_FOUND, a

@@ -157,6 +157,9 @@ func NewStore(algo string, capacity int, poolValues bool, shards int, ordered bo
 			counts:  make([]int32, shards),
 		}
 		f.set.apply = f.set.step
+		f.del.s = s
+		f.del.remove = f.del.removeStep
+		f.del.reap = f.del.reapStep
 		return f
 	}
 	return s, nil
@@ -196,8 +199,10 @@ type pinFrame struct {
 	perm   []int32
 	items  []Item
 	hits   []bool
-	// set is Store.Set's callback state, reused by every set under the pin.
+	// set is Store.Set's callback state, reused by every set under the pin;
+	// del is Store.Delete's and reapDead's.
 	set setOp
+	del delOp
 }
 
 // ensureBatch sizes the per-key tables for an n-key batch.
@@ -446,20 +451,11 @@ func (s *Store) reapDead(p Pin, sh int, h uint64, key []byte, cas uint64) {
 	if s.reapHook != nil {
 		s.reapHook()
 	}
-	now := p.now
-	var retired []byte
-	s.sm.UpdateBytesHashed(sh, h, key, func(old Item, present bool) (Item, bool) {
-		retired = nil
-		if !present {
-			return old, false
-		}
-		if old.CAS != cas || s.live(old, now) {
-			return old, true // superseded or resurrected: keep
-		}
-		retired = old.Data
-		return old, false
-	})
-	p.free(sh, retired)
+	op := &p.f.del
+	op.now, op.cas = p.now, cas
+	s.sm.UpdateBytesHashed(sh, h, key, op.reap)
+	p.free(sh, op.retired)
+	op.retired = nil
 }
 
 // Set unconditionally stores the value and returns its CAS token.
@@ -585,19 +581,48 @@ func (s *Store) CompareAndSwap(p Pin, key []byte, flags uint32, exptime int64, d
 func (s *Store) Delete(p Pin, key []byte) bool {
 	sh, h := s.sm.RouteBytes(key)
 	p.enter(sh)
-	now := p.now
-	deleted := false
-	var retired []byte
-	s.sm.UpdateBytesHashed(sh, h, key, func(old Item, present bool) (Item, bool) {
-		retired = nil
-		if present {
-			retired = old.Data
-		}
-		deleted = present && s.live(old, now)
-		return old, false
-	})
-	p.free(sh, retired)
+	op := &p.f.del
+	op.now = p.now
+	s.sm.UpdateBytesHashed(sh, h, key, op.remove)
+	deleted := op.deleted
+	p.free(sh, op.retired)
+	op.retired, op.deleted = nil, false
 	return deleted
+}
+
+// delOp is the removal callbacks' state — Delete's removeStep and
+// reapDead's reapStep — kept in the pooled pin frame like setOp, with both
+// methods bound once when the frame is built, so neither path allocates a
+// closure or a cell for its results.
+type delOp struct {
+	s       *Store
+	remove  func(old Item, present bool) (Item, bool)
+	reap    func(old Item, present bool) (Item, bool)
+	now     int64
+	cas     uint64 // reapStep: the token of the corpse to collect
+	retired []byte
+	deleted bool
+}
+
+func (o *delOp) removeStep(old Item, present bool) (Item, bool) {
+	o.retired = nil
+	if present {
+		o.retired = old.Data
+	}
+	o.deleted = present && o.s.live(old, o.now)
+	return old, false
+}
+
+func (o *delOp) reapStep(old Item, present bool) (Item, bool) {
+	o.retired = nil
+	if !present {
+		return old, false
+	}
+	if old.CAS != o.cas || o.s.live(old, o.now) {
+		return old, true // superseded or resurrected: keep
+	}
+	o.retired = old.Data
+	return old, false
 }
 
 // IncrDecr atomically adjusts the decimal value under key by delta (incr

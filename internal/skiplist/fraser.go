@@ -34,7 +34,8 @@ func newFNode(k core.Key, v core.Value, h int) *fNode {
 // With optimized == true this is fraser-opt (§5, based on the wait-free-
 // contains idea of Herlihy/Lev/Shavit): searches and parses skip over marked
 // nodes with plain reads, never CAS, and never restart; physical cleanup is
-// deferred to the update CASes, which naturally swallow marked spans.
+// left to the updates: a remover makes one unlink CAS per level of its own
+// node, and every update CAS swallows the marked span in front of it.
 // With cfg.Recycle, height-1 nodes are recycled through SSMEM epochs by the
 // thread whose level-0 CAS detaches them (see recycle.go for why recycling
 // is height-1-only).
@@ -332,9 +333,25 @@ func (l *Fraser) RemoveCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
 	}
 	val := node.val // we won the level-0 mark; read before any free
 	if l.optimized {
-		// Single best-effort unlink; otherwise future update CASes
-		// swallow the marked span. Never CAS a marked ref: that would
-		// resurrect a dead predecessor's next pointer.
+		// One best-effort unlink per level; otherwise only a later
+		// insert's CAS swallows the marked span, and with no inserts
+		// (a flush, a drain) every parse walks all earlier victims.
+		// Upper levels first, wherever the parse found node behind
+		// pred: the CAS also swallows any marked span the parse
+		// stepped over, as an insert's would. Never CAS a marked ref:
+		// that would resurrect a dead predecessor's next pointer.
+		for lvl := len(node.next) - 1; lvl >= 1; lvl-- {
+			if succs[lvl] != node || refs[lvl].marked {
+				continue
+			}
+			next := node.next[lvl].Load().n // frozen by the mark
+			if preds[lvl].next[lvl].CompareAndSwap(refs[lvl], &fRef{n: next}) {
+				c.Inc(perf.EvCAS)
+				c.Inc(perf.EvCleanup)
+			} else {
+				c.Inc(perf.EvCASFail)
+			}
+		}
 		target := node.next[0].Load().n // frozen by the mark
 		if !refs[0].marked && preds[0].next[0].CompareAndSwap(refs[0], &fRef{n: target}) {
 			c.Inc(perf.EvCAS)

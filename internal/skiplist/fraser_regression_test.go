@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/perf"
 )
 
 // TestFraserOptChurnRegression guards against the marked-ref parse bug: the
@@ -76,6 +77,51 @@ func TestFraserOptChurnRegression(t *testing.T) {
 					}
 				}
 				t.Fatalf("inconsistency found in round %d", round)
+			}
+		}
+	}
+}
+
+// TestFraserOptRemoveTraversalBound guards against quadratic removal: a
+// fraser-opt remover must unlink its node at every level it can, not only
+// at level 0. Before, with no inserts to swallow them, every earlier
+// victim stayed linked at its upper levels, so each parse walked all of
+// them and removing n keys in ascending order cost O(n²) hops (a flush_all
+// of 65536 keys took minutes). Single-goroutine, so every unlink CAS
+// succeeds; the bound is on counted hops (perf.EvTraverse), not time. A
+// correct skip list averages about 2·log2 n hops per descent.
+func TestFraserOptRemoveTraversalBound(t *testing.T) {
+	const n = 1 << 14
+	const log2n = 14
+	l := NewFraser(core.DefaultConfig(), true)
+	for k := core.Key(1); k <= n; k++ {
+		l.Insert(k, core.Value(k))
+	}
+	var rm perf.Ctx
+	for k := core.Key(1); k <= n/2; k++ {
+		if _, ok := l.RemoveCtx(&rm, k); !ok {
+			t.Fatalf("remove %d failed", k)
+		}
+	}
+	if per := float64(rm.Count(perf.EvTraverse)) / (n / 2); per > 4*log2n {
+		t.Fatalf("ascending removes traversed %.1f nodes each, want <= %d (4·log2 n)", per, 4*log2n)
+	}
+	var sc perf.Ctx
+	const searches = 256
+	for i := 0; i < searches; i++ {
+		k := core.Key(n/2 + 1 + i*(n/2/searches))
+		if _, ok := l.SearchCtx(&sc, k); !ok {
+			t.Fatalf("key %d lost", k)
+		}
+	}
+	if per := float64(sc.Count(perf.EvTraverse)) / searches; per > 4*log2n {
+		t.Fatalf("searches across the surviving keys traversed %.1f nodes each, want <= %d (4·log2 n)", per, 4*log2n)
+	}
+	// No removed node is still reachable at any level.
+	for lvl := 0; lvl < l.maxLevel; lvl++ {
+		for curr := l.head.next[lvl].Load().n; curr != l.tail; curr = curr.next[lvl].Load().n {
+			if curr.key <= n/2 {
+				t.Fatalf("removed key %d still linked at level %d", curr.key, lvl)
 			}
 		}
 	}
